@@ -167,11 +167,10 @@ func TestSamplePipelineMatchesDirectSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adjusted, err := AdjustForSample(c, cands, s, NewStringCodec(3))
-	if err != nil {
+	if err := AdjustForSample(c, cands, s); err != nil {
 		t.Fatal(err)
 	}
-	all := engine.CollectMap(c, adjusted, "gather", cube.Merge, func(k string, v cube.Agg) int { return len(k) + 24 })
+	all := engine.CollectMap(c, cands, "gather", cube.Merge, func(k string, v cube.Agg) int { return len(k) + 24 })
 	if len(all) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -219,15 +218,14 @@ func TestQuickSamplePipeline(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cands, err := cube.ComputeSingleStage(c, lcas, 3)
+		cands, err := cube.Compute(c, lcas, 3, cube.SplitGroups(3, 1))
 		if err != nil {
 			return false
 		}
-		adjusted, err := AdjustForSample(c, cands, s, NewStringCodec(3))
-		if err != nil {
+		if err := AdjustForSample(c, cands, s); err != nil {
 			return false
 		}
-		all := engine.CollectMap(c, adjusted, "g", cube.Merge, func(k string, v cube.Agg) int { return 36 })
+		all := engine.CollectMap(c, cands, "g", cube.Merge, func(k string, v cube.Agg) int { return 36 })
 		for key, agg := range all {
 			r, _ := rule.FromKey(key, 3)
 			var wantM float64
@@ -287,7 +285,7 @@ func TestTopByGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := cube.ComputeSingleStage(c, parts, 3)
+	cands, err := cube.Compute(c, parts, 3, cube.SplitGroups(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,19 @@
 package candgen
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sirum/internal/cube"
 	"sirum/internal/engine"
-	"sirum/internal/maxent"
 	"sirum/internal/metrics"
 	"sirum/internal/rule"
 )
 
-// This file is the table-backed twin of the packed-key pipeline: the same
-// leaf-instance scans and fix-ups as the map-based PackedCodec methods, but
-// producing and consuming arena-recycled cube.PackedTables so a prepared
-// session's steady-state rounds stop allocating. The cross-representation
-// equivalence tests hold all three paths (tables, packed maps, string keys)
-// to identical rule lists.
+// This file is the packed-key pipeline: the leaf-instance scans, sample
+// fix-up and top-k of candgen.go, producing and consuming arena-recycled
+// cube.PackedTables so a prepared session's steady-state rounds stop
+// allocating. The cross-representation equivalence tests hold it to the
+// string-key path: identical candidate sets and rule lists.
 
 // ExhaustiveTables is ExhaustiveParts into borrowed tables: every data tuple
 // becomes a full-constant rule instance.
@@ -125,9 +122,9 @@ func lcaIndexedTable(b *engine.TupleBlock, s *Sample, ix *InvertedIndex, p *rule
 	return ops
 }
 
-// AdjustTablesForSample applies the Section 3.1.1 fix-up in place: each
+// AdjustTablesForSample is AdjustForSample over table partitions: each
 // candidate's aggregates are divided by its sample match count through the
-// tables' mutable walk — no rebuilt collection, unlike the map path.
+// tables' mutable walk.
 func AdjustTablesForSample(c engine.Backend, candidates *engine.PColl[*cube.PackedTable], s *Sample, codec PackedCodec) error {
 	c.Broadcast(s.Bytes())
 	errs := make([]error, candidates.NumParts())
@@ -168,21 +165,7 @@ func TopByGainTables(c engine.Backend, candidates *engine.PColl[*cube.PackedTabl
 	}
 	tops := engine.MapParts(c, candidates, "candgen/topk", func(_ int, part *cube.PackedTable) []Candidate[uint64] {
 		h := make(candHeap[uint64], 0, n+1)
-		part.ForEach(func(key uint64, agg cube.Agg) {
-			if exclude[key] {
-				return
-			}
-			g := maxent.Gain(agg.SumM, agg.SumMhat)
-			if g <= 0 {
-				return
-			}
-			if len(h) < n {
-				heap.Push(&h, Candidate[uint64]{Key: key, Gain: g, Agg: agg})
-			} else if g > h.Peek().Gain {
-				h[0] = Candidate[uint64]{Key: key, Gain: g, Agg: agg}
-				heap.Fix(&h, 0)
-			}
-		})
+		part.ForEach(func(key uint64, agg cube.Agg) { h.offer(n, key, agg, exclude) })
 		return h
 	})
 	return mergeTopK(tops, n)

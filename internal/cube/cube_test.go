@@ -16,9 +16,6 @@ func newTestCluster() *engine.SimBackend {
 	return engine.NewSimBackend(engine.Config{Executors: 2, CoresPerExecutor: 2, Partitions: 4})
 }
 
-// aggBytes sizes string-keyed records for gather accounting in tests.
-func aggBytes(k string, _ Agg) int { return len(k) + 24 }
-
 func TestSplitGroups(t *testing.T) {
 	cases := []struct {
 		d, g int
@@ -91,11 +88,11 @@ func TestExhaustiveCubeAggregates(t *testing.T) {
 	defer c.Close()
 	ds := datagen.Flights()
 	in := engine.NewPColl(tupleInstances(3))
-	res, err := ComputeSingleStage(c, in, 3)
+	res, err := Compute(c, in, 3, SplitGroups(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := engine.CollectMap(c, res, "gather", Merge, aggBytes)
+	candidates := engine.CollectMap(c, res, "gather", Merge, stringRecordBytes)
 
 	// The thesis' example quotes "73 possible rules"; the union of the 14
 	// tuples' cube lattices has 74 elements (1 at level 0, 20 at level 1,
@@ -133,7 +130,7 @@ func TestMultiStageEqualsSingleStage(t *testing.T) {
 		c1, c2 := newTestCluster(), newTestCluster()
 		in1 := engine.NewPColl(tupleInstances(3))
 		in2 := engine.NewPColl(tupleInstances(3))
-		single, err := ComputeSingleStage(c1, in1, 3)
+		single, err := Compute(c1, in1, 3, SplitGroups(3, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +138,8 @@ func TestMultiStageEqualsSingleStage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := engine.CollectMap(c1, single, "a", Merge, aggBytes)
-		b := engine.CollectMap(c2, multi, "b", Merge, aggBytes)
+		a := engine.CollectMap(c1, single, "a", Merge, stringRecordBytes)
+		b := engine.CollectMap(c2, multi, "b", Merge, stringRecordBytes)
 		if len(a) != len(b) {
 			t.Fatalf("g=%d: %d vs %d candidates", g, len(a), len(b))
 		}
@@ -167,7 +164,7 @@ func TestColumnGroupingEmitsFewerPairs(t *testing.T) {
 	c1, c2 := newTestCluster(), newTestCluster()
 	defer c1.Close()
 	defer c2.Close()
-	if _, err := ComputeSingleStage(c1, engine.NewPColl(tupleInstances(3)), 3); err != nil {
+	if _, err := Compute(c1, engine.NewPColl(tupleInstances(3)), 3, SplitGroups(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Compute(c2, engine.NewPColl(tupleInstances(3)), 3, SplitGroups(3, 3)); err != nil {
@@ -211,7 +208,7 @@ func TestSampleCandidateExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := engine.CollectMap(c, res, "gather", Merge, aggBytes)
+	candidates := engine.CollectMap(c, res, "gather", Merge, stringRecordBytes)
 	want := map[string]bool{}
 	for _, vals := range [][]string{
 		{"*", "*", "*"}, {"*", "*", "London"}, {"*", "*", "Frankfurt"},
@@ -271,7 +268,7 @@ func TestQuickMultiStageEquivalence(t *testing.T) {
 		c1, c2 := newTestCluster(), newTestCluster()
 		defer c1.Close()
 		defer c2.Close()
-		single, err := ComputeSingleStage(c1, engine.NewPColl(in1), d)
+		single, err := Compute(c1, engine.NewPColl(in1), d, SplitGroups(d, 1))
 		if err != nil {
 			return false
 		}
@@ -279,8 +276,8 @@ func TestQuickMultiStageEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := engine.CollectMap(c1, single, "a", Merge, aggBytes)
-		b := engine.CollectMap(c2, multi, "b", Merge, aggBytes)
+		a := engine.CollectMap(c1, single, "a", Merge, stringRecordBytes)
+		b := engine.CollectMap(c2, multi, "b", Merge, stringRecordBytes)
 		if len(a) != len(b) {
 			return false
 		}
@@ -309,11 +306,11 @@ func TestComputeRejectsBadGroups(t *testing.T) {
 func TestCountCandidates(t *testing.T) {
 	c := newTestCluster()
 	defer c.Close()
-	res, err := ComputeSingleStage(c, engine.NewPColl(tupleInstances(2)), 3)
+	res, err := Compute(c, engine.NewPColl(tupleInstances(2)), 3, SplitGroups(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CountCandidates(c, res); got != 74 {
+	if got := CountCandidates(res); got != 74 {
 		t.Errorf("CountCandidates = %d, want 74", got)
 	}
 }

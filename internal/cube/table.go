@@ -10,9 +10,17 @@ import (
 
 // TableRecordBytes is the serialized size of one PackedTable slot — the
 // 8-byte packed key plus the three float64 aggregate fields — and the honest
-// per-record shuffle charge for the table representation (the same figure
-// PackedKeys.RecordBytes reports for the map path).
+// per-record shuffle charge for the packed representation (not the string
+// key's 4·d bytes, so shuffle cost figures stay honest across
+// representations).
 const TableRecordBytes = 8 + 24
+
+// PackedKeys is the packed key representation: single-word keys from a
+// rule.Packer, valid when the dimension dictionaries pack into 64 bits.
+type PackedKeys struct{ P *rule.Packer }
+
+// NumDims returns the rule arity d.
+func (pk PackedKeys) NumDims() int { return pk.P.NumDims() }
 
 // minTableCap is the smallest backing capacity; always a power of two.
 const minTableCap = 16
@@ -25,11 +33,11 @@ const (
 
 // PackedTable is a flat open-addressing hash table from packed rule keys to
 // their aggregates: power-of-two []uint64 keys plus a parallel []Agg slot
-// array, linear probing, in-place merge on hit. It replaces the per-stage Go
-// maps of the packed cube pipeline: a map is rebuilt and rehashed every
-// map/shuffle/merge round, while a PackedTable Resets to empty keeping its
-// backing arrays, so a warm multi-stage explore runs the whole round
-// structure with zero steady-state allocation.
+// array, linear probing, in-place merge on hit. It is the round state of the
+// packed cube pipeline: where a Go map would be rebuilt and rehashed every
+// map/shuffle/merge round, a PackedTable Resets to empty keeping its backing
+// arrays, so a warm multi-stage explore runs the whole round structure with
+// zero steady-state allocation.
 //
 // Key 0 (all attributes at dictionary code 0) is a valid packed rule, so the
 // empty-slot sentinel 0 gets a sidecar: hasZero/zero hold that one entry out
@@ -227,14 +235,6 @@ func (t *PackedTable) MergeTable(o *PackedTable) {
 	}
 }
 
-// Map materializes the table as an ordinary keyed map (tests and the
-// cross-representation oracle; the pipeline never calls it).
-func (t *PackedTable) Map() map[uint64]Agg {
-	out := make(map[uint64]Agg, t.Len())
-	t.ForEach(func(k uint64, a Agg) { out[k] = a })
-	return out
-}
-
 // Release returns the table to the backend arena so later rounds — of this
 // query or the next on the same backend — reuse its backing arrays. Safe on
 // bare backends (no-op; the GC takes it with the run). The sirumvet
@@ -261,10 +261,12 @@ func BorrowTable(c engine.Backend, hint int) *PackedTable {
 	return t
 }
 
-// MapAncestorsTable is MapAncestors over tables: it emits the proper
+// MapAncestorsTable runs one packed map stage: it emits the proper
 // ancestors of every rule in src — wildcarding non-empty subsets of the
 // group's attributes, a single OR per attribute — accumulating directly into
-// dst. With src and dst recycled through the arena the warm steady state
+// dst, and returns the number of (ancestor, aggregate) emissions. Keys with
+// bits beyond the packed layout and enumerations past rule.MaxFreeAttrs are
+// errors. With src and dst recycled through the arena the warm steady state
 // allocates nothing (the free-mask scratch is a stack array).
 func (pk PackedKeys) MapAncestorsTable(src, dst *PackedTable, group []int) (int64, error) {
 	p := pk.P
@@ -336,9 +338,10 @@ func ReleaseTables(c engine.Backend, coll *engine.PColl[*PackedTable]) {
 	}
 }
 
-// ComputeTables is ComputeKeyed for the packed representation over arena-
-// recycled tables: the same round structure — key-partition, then per column
-// group one map/shuffle/merge round — but every stage accumulates into flat
+// ComputeTables is Compute for the packed representation over arena-recycled
+// tables: the same round structure — key-partition, then per column group
+// one map/shuffle/merge round, with the same JobBoundary and
+// metrics.CtrPairsEmitted accounting — but every stage accumulates into flat
 // tables instead of fresh Go maps. Two scratch table sets (generated
 // ancestors, their reduction) are borrowed once and Reset between stages, and
 // the merge folds table-into-table in place, so a multi-stage cube reuses the
@@ -406,7 +409,7 @@ func ComputeTables(c engine.Backend, in *engine.PColl[*PackedTable], pk PackedKe
 
 // CountTableCandidates sums the number of distinct candidate rules across the
 // result partitions.
-func CountTableCandidates(c engine.Backend, candidates *engine.PColl[*PackedTable]) int64 {
+func CountTableCandidates(candidates *engine.PColl[*PackedTable]) int64 {
 	var total int64
 	for _, p := range candidates.Parts() {
 		total += int64(p.Len())

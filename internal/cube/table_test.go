@@ -52,7 +52,46 @@ func tablesFromMaps(parts []map[uint64]Agg) []*PackedTable {
 	return out
 }
 
-func sameAggMaps(t *testing.T, label string, a, b map[uint64]Agg) {
+// tableMap materializes a table as an ordinary keyed map.
+func tableMap(tb *PackedTable) map[uint64]Agg {
+	out := make(map[uint64]Agg, tb.Len())
+	tb.ForEach(func(k uint64, a Agg) { out[k] = a })
+	return out
+}
+
+// decodeTables gathers table partitions keyed by the rules' string keys, so
+// the table pipeline compares directly against the string-key pipeline. A
+// key present in two partitions fails the test.
+func decodeTables(t *testing.T, p *rule.Packer, parts ...*PackedTable) map[string]Agg {
+	t.Helper()
+	out := make(map[string]Agg)
+	for _, part := range parts {
+		part.ForEach(func(k uint64, a Agg) {
+			r, err := p.Unpack(k, nil)
+			if err != nil {
+				t.Fatalf("decoding packed key %#x: %v", k, err)
+			}
+			if _, dup := out[r.Key()]; dup {
+				t.Fatalf("key %#x in two table partitions", k)
+			}
+			out[r.Key()] = a
+		})
+	}
+	return out
+}
+
+// mergedParts folds string-keyed partitions into one map.
+func mergedParts(parts []map[string]Agg) map[string]Agg {
+	out := make(map[string]Agg)
+	for _, part := range parts {
+		for k, v := range part {
+			out[k] = Merge(out[k], v)
+		}
+	}
+	return out
+}
+
+func sameAggMaps[K comparable](t *testing.T, label string, a, b map[K]Agg) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: %d vs %d entries", label, len(a), len(b))
@@ -60,10 +99,10 @@ func sameAggMaps(t *testing.T, label string, a, b map[uint64]Agg) {
 	for k, va := range a {
 		vb, ok := b[k]
 		if !ok {
-			t.Fatalf("%s: key %#x missing", label, k)
+			t.Fatalf("%s: key %v missing", label, k)
 		}
 		if math.Abs(va.SumM-vb.SumM) > 1e-9 || math.Abs(va.SumMhat-vb.SumMhat) > 1e-9 || math.Abs(va.Count-vb.Count) > 1e-9 {
-			t.Fatalf("%s: key %#x: %+v vs %+v", label, k, va, vb)
+			t.Fatalf("%s: key %v: %+v vs %+v", label, k, va, vb)
 		}
 	}
 }
@@ -129,7 +168,7 @@ func TestPackedTableMatchesMapModel(t *testing.T) {
 	if tb.Len() != len(model) {
 		t.Fatalf("Len = %d, model has %d", tb.Len(), len(model))
 	}
-	sameAggMaps(t, "model", model, tb.Map())
+	sameAggMaps(t, "model", model, tableMap(tb))
 	for k, want := range model {
 		got, ok := tb.Get(k)
 		if !ok || got != want {
@@ -153,11 +192,11 @@ func TestPackedTableMergeTable(t *testing.T) {
 		model[k] = Merge(model[k], v)
 	}
 	a.MergeTable(b)
-	sameAggMaps(t, "merge", model, a.Map())
+	sameAggMaps(t, "merge", model, tableMap(a))
 }
 
-// TestMapAncestorsTableMatchesMap holds the table map-stage to the packed map
-// path: same ancestors, same aggregates, same emission count.
+// TestMapAncestorsTableMatchesMap holds the table map stage to the string
+// path's map stage: same ancestors, same aggregates, same emission count.
 func TestMapAncestorsTableMatchesMap(t *testing.T) {
 	p, ok := rule.NewPacker([]int{5, 9, 2, 4})
 	if !ok {
@@ -166,7 +205,8 @@ func TestMapAncestorsTableMatchesMap(t *testing.T) {
 	pk := PackedKeys{P: p}
 	r := rand.New(rand.NewSource(3))
 	for _, group := range [][]int{{0, 1, 2, 3}, {0, 2}, {1}, {3, 0}} {
-		part := make(map[uint64]Agg)
+		part := make(map[string]Agg)
+		src := NewPackedTable(0)
 		ru := make(rule.Rule, 4)
 		for i := 0; i < 40; i++ {
 			for j, dom := range []int32{5, 9, 2, 4} {
@@ -176,14 +216,11 @@ func TestMapAncestorsTableMatchesMap(t *testing.T) {
 					ru[j] = r.Int31n(dom)
 				}
 			}
-			k := p.PackCodes(ru)
-			part[k] = Merge(part[k], Agg{SumM: float64(r.Intn(50)), SumMhat: 1, Count: 1})
+			agg := Agg{SumM: float64(r.Intn(50)), SumMhat: 1, Count: 1}
+			part[ru.Key()] = Merge(part[ru.Key()], agg)
+			src.Add(p.PackCodes(ru), agg)
 		}
-		src := NewPackedTable(len(part))
-		for k, v := range part {
-			src.Add(k, v)
-		}
-		wantMap, wantEmitted, err := pk.MapAncestors(part, group)
+		wantMap, wantEmitted, err := mapAncestors(part, 4, group)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +230,9 @@ func TestMapAncestorsTableMatchesMap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if emitted != wantEmitted {
-			t.Errorf("group %v: emitted %d, map path emitted %d", group, emitted, wantEmitted)
+			t.Errorf("group %v: emitted %d, string path emitted %d", group, emitted, wantEmitted)
 		}
-		sameAggMaps(t, "ancestors", wantMap, dst.Map())
+		sameAggMaps(t, "ancestors", wantMap, decodeTables(t, p, dst))
 	}
 }
 
@@ -229,16 +266,16 @@ func TestMapAncestorsTableRejectsBlowup(t *testing.T) {
 	}
 }
 
-// TestComputeTablesMatchesComputePacked is the tentpole's correctness oracle:
-// the table pipeline must produce exactly the candidate set of the map
-// pipeline, for single- and multi-stage groupings.
-func TestComputeTablesMatchesComputePacked(t *testing.T) {
+// TestComputeTablesMatchesCompute is the table pipeline's correctness
+// oracle: it must produce exactly the candidate set of the string-key
+// pipeline, for single- and multi-stage groupings, emitting as many pairs.
+func TestComputeTablesMatchesCompute(t *testing.T) {
 	p := flightsPacker(t)
 	pk := PackedKeys{P: p}
 	for _, g := range []int{1, 2, 3} {
 		c1, c2 := newTestCluster(), newTestCluster()
 		groups := SplitGroups(3, g)
-		maps, err := ComputePacked(c1, engine.NewPColl(packedTupleInstances(t, 3)), p, groups)
+		maps, err := Compute(c1, engine.NewPColl(tupleInstances(3)), 3, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,25 +283,13 @@ func TestComputeTablesMatchesComputePacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make(map[uint64]Agg)
-		for _, part := range maps.Parts() {
-			for k, v := range part {
-				want[k] = Merge(want[k], v)
-			}
+		if CountTableCandidates(tables) != 74 {
+			t.Errorf("g=%d: CountTableCandidates = %d, want 74", g, CountTableCandidates(tables))
 		}
-		got := make(map[uint64]Agg)
-		for _, part := range tables.Parts() {
-			part.ForEach(func(k uint64, a Agg) {
-				if _, dup := got[k]; dup {
-					t.Errorf("g=%d: key %#x in two table partitions", g, k)
-				}
-				got[k] = a
-			})
+		if a, b := c1.Reg().Counter(metrics.CtrPairsEmitted), c2.Reg().Counter(metrics.CtrPairsEmitted); a != b {
+			t.Errorf("g=%d: string path emitted %d pairs, tables %d", g, a, b)
 		}
-		if CountTableCandidates(c2, tables) != 74 {
-			t.Errorf("g=%d: CountTableCandidates = %d, want 74", g, CountTableCandidates(c2, tables))
-		}
-		sameAggMaps(t, "compute", want, got)
+		sameAggMaps(t, "compute", mergedParts(maps.Parts()), decodeTables(t, p, tables.Parts()...))
 		c1.Close()
 		c2.Close()
 	}
@@ -272,7 +297,7 @@ func TestComputeTablesMatchesComputePacked(t *testing.T) {
 
 // TestQuickComputeTablesEquivalence fuzzes the oracle over random instance
 // sets, arities and groupings, like TestQuickMultiStageEquivalence does for
-// the string path.
+// the string path alone.
 func TestQuickComputeTablesEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -287,7 +312,8 @@ func TestQuickComputeTablesEquivalence(t *testing.T) {
 			t.Fatal("packer")
 		}
 		nInst := r.Intn(20) + 1
-		in1 := []map[uint64]Agg{make(map[uint64]Agg), make(map[uint64]Agg)}
+		strIn := []map[string]Agg{make(map[string]Agg), make(map[string]Agg)}
+		packedIn := []map[uint64]Agg{make(map[uint64]Agg), make(map[uint64]Agg)}
 		ru := make(rule.Rule, d)
 		for i := 0; i < nInst; i++ {
 			for j := range ru {
@@ -298,30 +324,21 @@ func TestQuickComputeTablesEquivalence(t *testing.T) {
 				}
 			}
 			agg := Agg{SumM: float64(r.Intn(100)), SumMhat: float64(r.Intn(100)), Count: 1}
-			k := p.PackCodes(ru)
-			in1[i%2][k] = Merge(in1[i%2][k], agg)
+			sk, pk := ru.Key(), p.PackCodes(ru)
+			strIn[i%2][sk] = Merge(strIn[i%2][sk], agg)
+			packedIn[i%2][pk] = Merge(packedIn[i%2][pk], agg)
 		}
 		c1, c2 := newTestCluster(), newTestCluster()
 		groups := SplitGroups(d, g)
-		maps, err := ComputePacked(c1, engine.NewPColl(in1), p, groups)
+		maps, err := Compute(c1, engine.NewPColl(strIn), d, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, err := ComputeTables(c2, engine.NewPColl(tablesFromMaps(in1)), PackedKeys{P: p}, groups)
+		tables, err := ComputeTables(c2, engine.NewPColl(tablesFromMaps(packedIn)), PackedKeys{P: p}, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make(map[uint64]Agg)
-		for _, part := range maps.Parts() {
-			for k, v := range part {
-				want[k] = Merge(want[k], v)
-			}
-		}
-		got := make(map[uint64]Agg)
-		for _, part := range tables.Parts() {
-			part.ForEach(func(k uint64, a Agg) { got[k] = a })
-		}
-		sameAggMaps(t, "quick", want, got)
+		sameAggMaps(t, "quick", mergedParts(maps.Parts()), decodeTables(t, p, tables.Parts()...))
 		c1.Close()
 		c2.Close()
 	}
@@ -329,8 +346,8 @@ func TestQuickComputeTablesEquivalence(t *testing.T) {
 
 // TestTableShuffleAccounting pins the honest shuffle cost of the table path:
 // every record is charged TableRecordBytes = 32 bytes — the 8-byte packed key
-// plus the 24-byte aggregate — exactly like PackedKeys.RecordBytes on the map
-// path, and every input entry lands in exactly one output partition.
+// plus the 24-byte aggregate — and every input entry lands in exactly one
+// output partition.
 func TestTableShuffleAccounting(t *testing.T) {
 	c := newTestCluster()
 	defer c.Close()

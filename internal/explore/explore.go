@@ -6,11 +6,11 @@
 // analyst has seen.
 //
 // Exploration mines without sample pruning, so every run walks the full
-// exhaustive cube — the heaviest pipeline in the repository. On packable
-// schemas the miner runs it over arena-recycled cube.PackedTables (flat
-// open-addressing round state instead of per-stage Go maps), which is what
-// keeps a prepared session's repeated explores allocation-free in steady
-// state; see the cube package doc.
+// exhaustive cube — the heaviest pipeline in the repository. The miner runs
+// it in the one key representation the schema admits: arena-recycled
+// cube.PackedTables when the dictionaries pack into 64 bits, which keeps a
+// prepared session's repeated explores allocation-free in steady state, and
+// string-keyed maps otherwise; see the cube package doc.
 package explore
 
 import (

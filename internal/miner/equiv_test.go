@@ -32,12 +32,14 @@ func TestPackedStringMinerEquivalenceConcurrent(t *testing.T) {
 	}
 	defer str.Drop()
 	str.packer = nil // force the string-key fallback
-	str.memo = nil
 
 	for _, opt := range []Options{
 		{Variant: Optimized, K: 4, SampleSize: 16, Seed: 9},
 		{Variant: MultiRule, K: 4, SampleSize: 16, Seed: 9},
 		{Variant: Optimized, K: 2, SampleSize: 0, Seed: 9}, // exhaustive explore shape
+		// Redundant-ancestor pruning, sampled and exhaustive.
+		{Variant: Optimized, K: 4, SampleSize: 16, Seed: 9, PruneRedundantAncestors: true},
+		{Variant: Optimized, K: 2, SampleSize: 0, Seed: 9, PruneRedundantAncestors: true},
 	} {
 		want, err := str.Mine(opt)
 		if err != nil {
@@ -47,6 +49,10 @@ func TestPackedStringMinerEquivalenceConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v packed path: %v", opt.Variant, err)
 		}
-		assertSameRules(t, fmt.Sprintf("variant %v", opt.Variant), want, got)
+		label := fmt.Sprintf("variant %v sample %d prune %v", opt.Variant, opt.SampleSize, opt.PruneRedundantAncestors)
+		assertSameRules(t, label, want, got)
+		if want.Candidates != got.Candidates {
+			t.Errorf("%s: %d string-path candidates vs %d packed", label, want.Candidates, got.Candidates)
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package miner
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"sirum/internal/candgen"
+	"sirum/internal/cube"
 	"sirum/internal/datagen"
 	"sirum/internal/dataset"
 	"sirum/internal/engine"
@@ -235,19 +236,19 @@ func TestMultiRuleSelectionInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := candgen.NewStringCodec(3)
-	q := &query[string]{
-		p:     &Prep{c: c, ds: ds, dataBytes: ds.ApproxBytes()},
+	p := &Prep{c: c, ds: ds, dataBytes: ds.ApproxBytes()}
+	q := &query{
+		p:     p,
 		c:     engine.NewQueryScope(c),
 		opt:   opt,
-		codec: codec,
 		data:  data,
+		cands: p.newCandidates(),
 	}
-	cands, n, err := q.generateCandidates([][]int{{0, 1, 2}})
+	n, err := q.generateCandidates([][]int{{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	picked, err := q.selectRules(cands, n, map[string]bool{}, 3)
+	picked, err := q.selectRules(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,21 +257,14 @@ func TestMultiRuleSelectionInvariants(t *testing.T) {
 	}
 	for i := 0; i < len(picked); i++ {
 		for j := i + 1; j < len(picked); j++ {
-			ri, err := codec.DecodeRule(picked[i].Key, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rj, err := codec.DecodeRule(picked[j].Key, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ri, rj := picked[i].rule, picked[j].rule
 			if !ri.Disjoint(rj) {
 				t.Errorf("picked rules %v and %v overlap", ri.Format(ds.Dicts), rj.Format(ds.Dicts))
 			}
 		}
 	}
 	for i := 1; i < len(picked); i++ {
-		if picked[i].Gain > picked[0].Gain {
+		if picked[i].gain > picked[0].gain {
 			t.Error("extra rule has higher gain than the top rule")
 		}
 	}
@@ -366,6 +360,48 @@ func TestPruneRedundantAncestors(t *testing.T) {
 	}
 	if with.Candidates >= without.Candidates {
 		t.Errorf("pruning did not reduce candidates: %d vs %d", with.Candidates, without.Candidates)
+	}
+}
+
+// TestCorruptPackedKeyFailsPruning feeds a packed key that does not decode
+// through an exhaustive round with redundant pruning on. Without a sample no
+// fix-up runs, so pruning is the first step that decodes keys: the round
+// must fail with an error and release the candidates it holds, not panic.
+func TestCorruptPackedKeyFailsPruning(t *testing.T) {
+	b := dataset.NewBuilder(dataset.Schema{DimNames: []string{"a", "b"}, MeasureName: "m"})
+	for i := 0; i < 10; i++ {
+		if err := b.Add([]string{fmt.Sprintf("a%d", i%5), fmt.Sprintf("b%d", i%2)}, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := b.MustBuild()
+	packer, ok := rule.NewPacker(ds.DomainSizes())
+	if !ok {
+		t.Fatal("schema does not pack")
+	}
+	// Attribute a has 5 codes in a 3-bit field: code 5 fits the field
+	// without being the wildcard pattern, so only decoding rejects it.
+	dims := [][]int32{append([]int32(nil), ds.Dims[0]...), ds.Dims[1]}
+	dims[0][0] = 5
+	c := testCluster()
+	defer c.Close()
+	_, work := maxent.NewTransform(ds.Measure)
+	data, err := engine.CacheTuples(c, engine.BlocksFromColumns(dims, work, work, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Prep{c: c, ds: ds, dataBytes: ds.ApproxBytes(), packer: packer}
+	qc := engine.NewQueryScope(c)
+	defer qc.Finish()
+	q := &query{
+		p:     p,
+		c:     qc,
+		opt:   Options{Variant: Optimized, K: 1, PruneRedundantAncestors: true}.withDefaults(),
+		data:  data,
+		cands: p.newCandidates(),
+	}
+	if _, err := q.generateCandidates(cube.SplitGroups(2, 1)); err == nil {
+		t.Fatal("corrupt packed key accepted")
 	}
 }
 

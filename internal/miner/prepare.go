@@ -1,7 +1,6 @@
 package miner
 
 import (
-	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -80,8 +79,9 @@ type Prep struct {
 
 	loadMu sync.Mutex // serializes (re)loading the blocks into the pool
 
-	memoMu sync.Mutex
-	memo   any // *lcaMemo[K] in the representation mineScoped selects
+	memoMu     sync.Mutex
+	stringMemo *lcaMemo[string] // the LCA memo of string-key queries, built on first use
+	packedMemo *lcaMemo[uint64] // the LCA memo of packed-key queries, built on first use
 }
 
 // Prepare runs the preparation phase on c: measure transform, optional
@@ -184,7 +184,7 @@ func (p *Prep) Mine(opt Options) (*Result, error) {
 func (p *Prep) Drop() {
 	p.c.Pool().Remove(p.poolID)
 	p.memoMu.Lock()
-	p.memo = nil
+	p.stringMemo, p.packedMemo = nil, nil
 	p.memoMu.Unlock()
 }
 
@@ -238,27 +238,26 @@ func (p *Prep) memoEligible(opt Options, sample *candgen.Sample) bool {
 	return true
 }
 
-// memoFor returns the shared LCA memo, building it from q's fork on first
-// use (one builder at a time; concurrent first queries wait). The memo is
-// keyed in the representation mineScoped selects; that choice is a function
-// of the prepared dataset, so every query of one Prep agrees on K.
-func memoFor[K cmp.Ordered](p *Prep, q *query[K]) (*lcaMemo[K], error) {
+// memoFor returns the shared LCA memo held in slot — the Prep field of the
+// query's key representation — building it from q's fork on first use (one
+// builder at a time; concurrent first queries wait).
+func memoFor[K comparable](q *query, slot **lcaMemo[K], leafKeys leafKeyFunc[K]) (*lcaMemo[K], error) {
+	p := q.p
 	p.memoMu.Lock()
 	defer p.memoMu.Unlock()
-	if p.memo != nil {
-		m, ok := p.memo.(*lcaMemo[K])
-		if !ok {
-			return nil, fmt.Errorf("miner: internal: LCA memo key representation mismatch")
+	if *slot == nil {
+		memo, err := buildLCAMemo(q.data, p.sample, p.indexFor(), leafKeys)
+		if err != nil {
+			return nil, err
 		}
-		return m, nil
+		*slot = memo
 	}
-	memo, err := buildLCAMemo(q.c, q.data, p.sample, p.indexFor(), q.codec)
-	if err != nil {
-		return nil, err
-	}
-	p.memo = memo
-	return memo, nil
+	return *slot, nil
 }
+
+// leafKeyFunc enumerates a block's (leaf key, row) incidences in ascending
+// row order — a codec's ForEachLeafKey.
+type leafKeyFunc[K comparable] func(b *engine.TupleBlock, s *candgen.Sample, ix *candgen.InvertedIndex, emit func(key K, row int))
 
 // lcaMemo caches, per block, the estimate-independent part of the LCA (or
 // exhaustive) candidate aggregates: each distinct candidate key with its
@@ -267,11 +266,11 @@ func memoFor[K cmp.Ordered](p *Prep, q *query[K]) (*lcaMemo[K], error) {
 // do, and those are recomputed per round as a gather over the query fork's
 // Mhat column — the prepare-once payoff that replaces the full LCA
 // recomputation of every round.
-type lcaMemo[K cmp.Ordered] struct {
+type lcaMemo[K comparable] struct {
 	blocks []lcaMemoBlock[K]
 }
 
-type lcaMemoBlock[K cmp.Ordered] struct {
+type lcaMemoBlock[K comparable] struct {
 	keys     []K
 	sumM     []float64
 	count    []float64
@@ -280,11 +279,11 @@ type lcaMemoBlock[K cmp.Ordered] struct {
 }
 
 // buildLCAMemo scans the data once, producing the same per-block key sets as
-// the codec's LCAParts (or ExhaustiveParts when s is nil) while recording
-// the row incidences. The codec enumerates incidences in ascending row
-// order, matching the summation order of the direct computation, so memoized
+// the LCA scan (or the exhaustive scan when s is nil) while recording the
+// row incidences. leafKeys enumerates incidences in ascending row order,
+// matching the summation order of the direct computation, so memoized
 // aggregates are bit-identical to recomputed ones.
-func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *candgen.Sample, ix *candgen.InvertedIndex, codec candgen.Codec[K]) (*lcaMemo[K], error) {
+func buildLCAMemo[K comparable](data *engine.CachedData, s *candgen.Sample, ix *candgen.InvertedIndex, leafKeys leafKeyFunc[K]) (*lcaMemo[K], error) {
 	memo := &lcaMemo[K]{blocks: make([]lcaMemoBlock[K], data.NumBlocks())}
 	err := data.Scan("miner/lca-memo", false, func(bi int, b *engine.TupleBlock) {
 		type entry struct {
@@ -293,7 +292,7 @@ func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *c
 			rows  []int32
 		}
 		local := make(map[K]*entry)
-		codec.ForEachLeafKey(b, s, ix, func(key K, i int) {
+		leafKeys(b, s, ix, func(key K, i int) {
 			e, ok := local[key]
 			if !ok {
 				e = &entry{}
@@ -324,20 +323,26 @@ func buildLCAMemo[K cmp.Ordered](c engine.Backend, data *engine.CachedData, s *c
 	return memo, nil
 }
 
-// memoTableParts is lcaMemo.parts into borrowed flat tables — the packed
-// replay path. A free function rather than a method because only K = uint64
-// has a table representation; generateTableCandidates proves the cast.
-func memoTableParts(m *lcaMemo[uint64], c engine.Backend, data *engine.CachedData) (*engine.PColl[*cube.PackedTable], error) {
-	out := make([]*cube.PackedTable, data.NumBlocks())
+// agg returns key ki's aggregates under the estimates mhat: the memoized
+// measure sum and count, and the estimate sum over the key's covered rows.
+func (mb *lcaMemoBlock[K]) agg(ki int, mhat []float64) cube.Agg {
+	var sm float64
+	for _, r := range mb.rows[mb.rowStart[ki]:mb.rowStart[ki+1]] {
+		sm += mhat[r]
+	}
+	return cube.Agg{SumM: mb.sumM[ki], SumMhat: sm, Count: mb.count[ki]}
+}
+
+// replayMaps materializes this round's string-key leaf aggregates from the
+// memo and the query's current estimates: one scan summing Mhat over each
+// key's covered rows.
+func replayMaps(m *lcaMemo[string], data *engine.CachedData) (*engine.PColl[map[string]cube.Agg], error) {
+	out := make([]map[string]cube.Agg, data.NumBlocks())
 	err := data.Scan("miner/lca-replay", false, func(bi int, b *engine.TupleBlock) {
 		mb := &m.blocks[bi]
-		local := cube.BorrowTable(c, len(mb.keys))
+		local := make(map[string]cube.Agg, len(mb.keys))
 		for ki, k := range mb.keys {
-			var sm float64
-			for _, r := range mb.rows[mb.rowStart[ki]:mb.rowStart[ki+1]] {
-				sm += b.Mhat[r]
-			}
-			local.Add(k, cube.Agg{SumM: mb.sumM[ki], SumMhat: sm, Count: mb.count[ki]})
+			local[k] = mb.agg(ki, b.Mhat)
 		}
 		out[bi] = local
 	})
@@ -347,20 +352,15 @@ func memoTableParts(m *lcaMemo[uint64], c engine.Backend, data *engine.CachedDat
 	return engine.NewPColl(out), nil
 }
 
-// parts materializes this round's candidate aggregates from the memo and the
-// query's current estimates: one scan summing Mhat over each key's covered
-// rows.
-func (m *lcaMemo[K]) parts(c engine.Backend, data *engine.CachedData) (*engine.PColl[map[K]cube.Agg], error) {
-	out := make([]map[K]cube.Agg, data.NumBlocks())
+// replayTables is replayMaps for the packed representation, into borrowed
+// flat tables.
+func replayTables(m *lcaMemo[uint64], c engine.Backend, data *engine.CachedData) (*engine.PColl[*cube.PackedTable], error) {
+	out := make([]*cube.PackedTable, data.NumBlocks())
 	err := data.Scan("miner/lca-replay", false, func(bi int, b *engine.TupleBlock) {
 		mb := &m.blocks[bi]
-		local := make(map[K]cube.Agg, len(mb.keys))
+		local := cube.BorrowTable(c, len(mb.keys))
 		for ki, k := range mb.keys {
-			var sm float64
-			for _, r := range mb.rows[mb.rowStart[ki]:mb.rowStart[ki+1]] {
-				sm += b.Mhat[r]
-			}
-			local[k] = cube.Agg{SumM: mb.sumM[ki], SumMhat: sm, Count: mb.count[ki]}
+			local.Add(k, mb.agg(ki, b.Mhat))
 		}
 		out[bi] = local
 	})
